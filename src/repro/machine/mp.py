@@ -9,10 +9,13 @@ Csd scheduler, the CMI, the message manager — run in each worker process
 wall-clock engine, a condition-variable node, a socket-backed network)
 behind the same attribute surface the simulator provides.
 
-Topology is hub-and-spoke: the parent process routes length-prefixed
-pickled frames between workers (one reader thread per worker) and runs
-the machine-level services — console aggregation, result collection and
-quiescence detection.
+Topology is hub-and-spoke: the parent process routes frames between
+workers (one reader thread per worker) and runs the machine-level
+services — console aggregation, result collection and quiescence
+detection.  A frame is a fixed ``struct`` header (body length, peer PE,
+kind, immediate/corrupted flags) and a body: a pickled tuple for
+control frames, the sender's pickled payload for data frames.  The hub
+forwards data bodies as opaque bytes; only the receiver unpickles them.
 
 **Quiescence** uses counting over FIFO channels: the hub counts every
 message it forwards to each PE; a worker, whenever it parks idle, reports
@@ -42,10 +45,11 @@ timeout/crash errors so hung runs die with evidence.
 ``faults=FaultPlan(...)`` the hub applies the unchanged seeded plan to
 every frame in flight between processes (per-link drop / duplicate /
 delay / reorder / corrupt, decided by the same RNG stream as the
-simulator), and ``CrashSpec`` entries drive the hub to **SIGKILL**
-worker processes at their appointed wall-clock times — respawning a
-fresh incarnation (epoch bump, restart-with-amnesia) when the spec has
-a ``restart_after``.  The CMI reliable-delivery layer
+simulator; a corruption is a header flag that the receiver turns into
+``payload.corrupted``), and ``CrashSpec`` entries drive the hub to
+**SIGKILL** worker processes at their appointed wall-clock times —
+respawning a fresh incarnation (epoch bump, restart-with-amnesia) when
+the spec has a ``restart_after``.  The CMI reliable-delivery layer
 (``reliable=True``) and the fault-tolerance layer (``ft=FTConfig()``)
 run *inside each worker* unmodified, entered concurrently from the
 main, receiver and timer threads under one per-PE reentrant lock; each
@@ -136,36 +140,61 @@ MP_MODEL = MachineModel(
     dequeue_cost=0.0,
 )
 
-_LEN = struct.Struct("<I")
+#: frame header: body length, peer PE (the destination on a worker's
+#: data frame, the source on the hub's), kind, flags.
+_HDR = struct.Struct("<IIBB")
+#: frame kinds (a pickled control tuple, an opaque pickled payload) and
+#: data-frame flags.
+_CTRL, _DATA = 0, 1
+_IMMEDIATE, _CORRUPTED = 1, 2
 
 
 # ----------------------------------------------------------------------
-# framing: length-prefixed pickles over a stream socket
+# framing: a fixed struct header, then exactly that many body bytes
 # ----------------------------------------------------------------------
-def _send_frame(sock: socket.socket, lock: threading.Lock, frame: Any) -> None:
-    data = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
+def _send_raw(sock: socket.socket, lock: threading.Lock, kind: int,
+              peer: int, flags: int, body: Any) -> None:
+    bufs = [_HDR.pack(len(body), peer, kind, flags), body]
     with lock:
-        sock.sendall(_LEN.pack(len(data)) + data)
+        # One scatter-gather write; loop only when the kernel takes part.
+        while bufs:
+            sent = sock.sendmsg(bufs)
+            while bufs and sent >= len(bufs[0]):
+                sent -= len(bufs.pop(0))
+            if bufs:
+                bufs[0] = memoryview(bufs[0])[sent:]
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _send_frame(sock: socket.socket, lock: threading.Lock, frame: Any) -> None:
+    _send_raw(sock, lock, _CTRL, 0, 0,
+              pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             return None
-        buf += chunk
-    return bytes(buf)
+        got += k
+    return buf
 
 
-def _recv_frame(sock: socket.socket) -> Optional[Any]:
-    head = _recv_exact(sock, _LEN.size)
+def _recv_frame(sock: socket.socket) -> Optional[tuple]:
+    """One frame as ``(kind, peer, flags, body)``; ``None`` at EOF,
+    including a frame torn by a writer that died mid-send."""
+    head = _recv_exact(sock, _HDR.size)
     if head is None:
         return None
-    body = _recv_exact(sock, _LEN.unpack(head)[0])
-    if body is None:
-        return None
-    return pickle.loads(body)
+    n, peer, kind, flags = _HDR.unpack(head)
+    body = _recv_exact(sock, n)
+    return None if body is None else (kind, peer, flags, body)
+
+
+def _recv_control(sock: socket.socket) -> Optional[Any]:
+    frame = _recv_frame(sock)
+    return pickle.loads(frame[3]) if frame and frame[0] == _CTRL else None
 
 
 # ======================================================================
@@ -308,6 +337,19 @@ class _WorkerLink:
     def send(self, frame: Any) -> None:
         _send_frame(self.sock, self.wlock, frame)
 
+    def post(self, frame: Any) -> bool:
+        """Best-effort :meth:`send`: False when the hub is gone."""
+        try:
+            self.send(frame)
+            return True
+        except OSError:
+            return False
+
+    def send_data(self, dst: int, payload: Any, immediate: bool) -> None:
+        _send_raw(self.sock, self.wlock, _DATA, dst,
+                  _IMMEDIATE if immediate else 0,
+                  pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+
     def report_idle(self, _node: "_MpNode") -> None:
         """Tell the hub this PE is parked (call with the node's condition
         held).  Deduplicated: only state changes cross the wire."""
@@ -315,9 +357,7 @@ class _WorkerLink:
         if snap == self._last_idle:
             return
         self._last_idle = snap
-        try:
-            self.send(("idle", snap[0], snap[1]))
-        except OSError:
+        if not self.post(("idle", snap[0], snap[1])):
             self.stop.set()
 
 
@@ -350,27 +390,24 @@ class _MpNode(Node):
                     return
         with self._cond:
             self.inbox.append(payload)
-            stats = self.stats
-            stats.msgs_received += 1
-            stats.bytes_received += getattr(payload, "size", 0) or 0
-            if self._mx_recvs is not None:
-                self._mx_recvs.inc(self.pe)
-                self._mx_recv_bytes.inc(self.pe, getattr(payload, "size", 0) or 0)
-            for hook in self._delivery_hooks:
-                hook(payload)
+            self._count_arrival(payload)
             self._cond.notify_all()
+
+    def _count_arrival(self, payload: Any) -> None:
+        size = getattr(payload, "size", 0) or 0
+        self.stats.msgs_received += 1
+        self.stats.bytes_received += size
+        if self._mx_recvs is not None:
+            self._mx_recvs.inc(self.pe)
+            self._mx_recv_bytes.inc(self.pe, size)
+        for hook in self._delivery_hooks:
+            hook(payload)
 
     def deliver_immediate(self, payload: Any) -> None:
         # Interrupt-style delivery for real: the handler runs on the
         # receiver thread, concurrently with the PE's main thread — the
         # handler must be short and thread-safe, as on a real machine.
-        self.stats.msgs_received += 1
-        self.stats.bytes_received += getattr(payload, "size", 0) or 0
-        if self._mx_recvs is not None:
-            self._mx_recvs.inc(self.pe)
-            self._mx_recv_bytes.inc(self.pe, getattr(payload, "size", 0) or 0)
-        for hook in self._delivery_hooks:
-            hook(payload)
+        self._count_arrival(payload)
         rt = self.runtime
         if rt is None:
             raise SimulationError(
@@ -438,7 +475,7 @@ class _MpSendHandle:
 class _MpNetwork:
     """The worker-side view of the interconnect: same call surface as
     :class:`repro.sim.network.Network`, but every remote payload becomes
-    a pickled frame routed through the hub.  Self-sends stay local."""
+    a data frame routed through the hub.  Self-sends stay local."""
 
     def __init__(self, machine: "_WorkerMachine", link: _WorkerLink) -> None:
         self.machine = machine
@@ -463,7 +500,7 @@ class _MpNetwork:
                 src_node.deliver(payload)
             return
         try:
-            self.link.send(("send", dst, payload, immediate))
+            self.link.send_data(dst, payload, immediate)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise SimulationError(
                 f"the mp machine layer could not pickle an outgoing message "
@@ -504,23 +541,9 @@ class _MpNetwork:
     def inject(self, src_pe: int, dst: int, nbytes: int, payload: Any) -> None:
         """NIC-level transmit with no CPU charge — the path the protocol
         layers use for retransmissions, acks, heartbeats and control
-        traffic.  Protocol packets are never pooled, so there is nothing
-        to reclaim after the frame is pickled onto the wire."""
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += nbytes
-        key = (src_pe, dst)
-        stats.per_channel[key] = stats.per_channel.get(key, 0) + 1
-        if dst == src_pe:
-            self.machine.node_obj.deliver(payload)
-            return
-        try:
-            self.link.send(("send", dst, payload, False))
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise SimulationError(
-                f"the mp machine layer could not pickle a protocol packet "
-                f"for PE {dst}: {exc}"
-            ) from exc
+        traffic.  Protocol packets are never pooled, so the transmit's
+        pool reclaim never applies to them."""
+        self._transmit(self.machine.node_obj, dst, nbytes, payload)
 
 
 class _WorkerConsole:
@@ -632,6 +655,18 @@ class _WorkerMachine:
         return hook
 
 
+def _stop_worker(link: _WorkerLink, node: _MpNode,
+                 tb: Optional[str] = None) -> None:
+    """Stop this worker and unpark its main thread, first shipping ``tb``
+    as a fatal frame: a failure on a receiver or timer thread must fail
+    the run at once, not die silently and strand it until the timeout."""
+    if tb is not None:
+        link.post(("fatal", tb))
+    link.stop.set()
+    with node._cond:
+        node._cond.notify_all()
+
+
 def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
     """Reader thread in a worker: turn hub frames into deliveries.
 
@@ -645,10 +680,29 @@ def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
             frame = _recv_frame(link.sock)
         except OSError:
             frame = None
-        if frame is None or frame[0] == "shutdown":
-            link.stop.set()
+        if frame is not None and frame[0] == _DATA:
+            flags = frame[2]
+            try:
+                payload = pickle.loads(frame[3])
+                if flags & _CORRUPTED and hasattr(payload, "corrupted"):
+                    payload.corrupted = True
+                if flags & _IMMEDIATE:
+                    node.deliver_immediate(payload)
+                else:
+                    node.deliver(payload)
+            except BaseException:
+                # An undecodable payload, or an immediate handler that
+                # blew up on the receiver thread.
+                _stop_worker(link, node, traceback.format_exc())
+                return
             with node._cond:
+                link.net_recv += 1
                 node._cond.notify_all()
+            continue
+        if frame is not None:
+            frame = pickle.loads(frame[3])
+        if frame is None or frame[0] == "shutdown":
+            _stop_worker(link, node)
             return
         if frame[0] == "clock_probe":
             # Clock-alignment echo: bounce the hub's timestamp back with
@@ -657,33 +711,7 @@ def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
             # on the receiver thread, so the round trip measures socket
             # latency, not scheduler occupancy.
             _, probe_id, hub_now = frame
-            try:
-                link.send(("clock", probe_id, hub_now, link.engine.now))
-            except OSError:
-                pass
-            continue
-        if frame[0] == "msg":
-            _, payload, immediate = frame
-            try:
-                if immediate:
-                    node.deliver_immediate(payload)
-                else:
-                    node.deliver(payload)
-            except BaseException:
-                # An immediate handler blew up on the receiver thread:
-                # report it instead of dying silently (which would strand
-                # the whole job until the hub timeout).
-                try:
-                    link.send(("fatal", traceback.format_exc()))
-                except OSError:
-                    pass
-                link.stop.set()
-                with node._cond:
-                    node._cond.notify_all()
-                return
-            with node._cond:
-                link.net_recv += 1
-                node._cond.notify_all()
+            link.post(("clock", probe_id, hub_now, link.engine.now))
 
 
 def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
@@ -703,9 +731,7 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
             "sent": stats.msgs_sent,
             "cpu": time.process_time(),
         }
-        try:
-            link.send(("health", node.pe, snap))
-        except OSError:
+        if not link.post(("health", node.pe, snap)):
             return
 
 
@@ -776,16 +802,7 @@ def _worker_main(pe: int, num_pes: int, port: int, specs: list, options: dict) -
             )
             rt.enable_ft(ft_cfg, coord, restarting=epoch > 0)
 
-    def _timer_fatal(tb: str) -> None:
-        try:
-            link.send(("fatal", tb))
-        except OSError:
-            pass
-        link.stop.set()
-        with node._cond:
-            node._cond.notify_all()
-
-    machine.engine.on_error = _timer_fatal
+    machine.engine.on_error = lambda tb: _stop_worker(link, node, tb)
     # One user thread runs Converse code in this process, so the
     # simulator's module-global current-context slot works unchanged.
     context._set_current(_WorkerTasklet(node))
@@ -832,10 +849,7 @@ def _worker_main(pe: int, num_pes: int, port: int, specs: list, options: dict) -
     except OSError:
         pass  # hub went away; nothing left to report to
     except BaseException:
-        try:
-            link.send(("fatal", traceback.format_exc()))
-        except OSError:
-            pass
+        link.post(("fatal", traceback.format_exc()))
     finally:
         machine.engine.shutdown()
         # Ship the observability payloads before the cpu frame (the
@@ -853,18 +867,12 @@ def _worker_main(pe: int, num_pes: int, port: int, specs: list, options: dict) -
         if tracer is not None:
             inner = getattr(tracer, "inner", tracer)
             if isinstance(inner, CountingTracer):
-                try:
-                    link.send(("trace_counts", pe, dict(inner.counts)))
-                except OSError:
-                    pass
+                link.post(("trace_counts", pe, dict(inner.counts)))
             try:
                 tracer.close()
             except OSError:
                 pass
-        try:
-            link.send(("cpu", time.process_time()))
-        except OSError:
-            pass
+        link.post(("cpu", time.process_time()))
         try:
             sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -940,9 +948,6 @@ class MpConsole:
 
 #: machine arguments that configure simulator-only subsystems, with the
 #: neutral values the mp layer accepts (and ignores / rejects beyond).
-#: (``trace``/``metrics`` and now ``faults``/``reliable``/``ft`` used to
-#: live here; they are first-class mp arguments — see the module
-#: docstring's fault-injection section.)
 _SIM_ONLY_OFF = {
     "aggregation": False,
     "backend": None,
@@ -1353,21 +1358,21 @@ class MpMachine(MachineLayer):
             self._worker_error = (pe, why, died)
         self._state.notify_all()
 
-    def _forward(self, src: int, dst: int, payload: Any, immediate: bool) -> None:
+    def _forward(self, src: int, dst: int, body: Any, flags: int) -> None:
         with self._state:
             if not 0 <= dst < self.num_pes:
                 self._fail_locked(-1, f"routing frame addressed to PE {dst}")
                 return
             self._forwarded[dst] += 1
-        self._push_frame(dst, payload, immediate)
+        self._push_frame(src, dst, body, flags)
 
-    def _push_frame(self, dst: int, payload: Any, immediate: bool) -> None:
+    def _push_frame(self, src: int, dst: int, body: Any, flags: int) -> None:
         conn = self._conns.get(dst)
         lock = self._conn_wlocks.get(dst)
         if conn is None or lock is None:
             return
         try:
-            _send_frame(conn, lock, ("msg", payload, immediate))
+            _send_raw(conn, lock, _DATA, src, flags, body)
         except OSError:
             with self._state:
                 down = dst in self._down
@@ -1383,7 +1388,7 @@ class MpMachine(MachineLayer):
                 # The worker was respawned under us; retry once on the
                 # fresh socket before declaring the link dead.
                 try:
-                    _send_frame(cur, cur_lock, ("msg", payload, immediate))
+                    _send_raw(cur, cur_lock, _DATA, src, flags, body)
                     return
                 except OSError:
                     pass
@@ -1393,8 +1398,8 @@ class MpMachine(MachineLayer):
     # ------------------------------------------------------------------
     # hub-level fault injection (bound as _route only with a fault plan)
     # ------------------------------------------------------------------
-    def _forward_faulty(self, src: int, dst: int, payload: Any,
-                        immediate: bool) -> None:
+    def _forward_faulty(self, src: int, dst: int, body: Any,
+                        flags: int) -> None:
         with self._state:
             if dst in self._down:
                 return  # packets to a dead host vanish, uncounted
@@ -1403,29 +1408,25 @@ class MpMachine(MachineLayer):
         if dropped:
             return
         if corrupted:
-            try:
-                # Flagged on the hub-side unpickled object; the flag
-                # rides the re-pickle to the receiver, whose protocol
-                # layers treat it as a checksum failure.
-                payload.corrupted = True
-            except AttributeError:
-                pass  # payload type carries no corruption slot
+            # The receiver sets payload.corrupted after unpickling; its
+            # protocol layers treat that as a checksum failure.
+            flags |= _CORRUPTED
         for extra_delay, _keep_fifo, _action in copies:
             if extra_delay <= 0.0:
-                self._forward(src, dst, payload, immediate)
+                self._forward(src, dst, body, flags)
             else:
                 with self._state:
                     self._delayed += 1
                     epoch = self._epochs[dst]
                 timer = threading.Timer(
                     extra_delay, self._deliver_delayed,
-                    (src, dst, payload, immediate, epoch),
+                    (src, dst, body, flags, epoch),
                 )
                 timer.daemon = True
                 timer.start()
 
-    def _deliver_delayed(self, src: int, dst: int, payload: Any,
-                         immediate: bool, epoch: int) -> None:
+    def _deliver_delayed(self, src: int, dst: int, body: Any,
+                         flags: int, epoch: int) -> None:
         with self._state:
             self._delayed -= 1
             if dst in self._down or self._epochs[dst] != epoch:
@@ -1439,7 +1440,7 @@ class MpMachine(MachineLayer):
             # window where neither the delayed counter nor the forwarded
             # ledger covers this frame (a false-quiescence race).
             self._forwarded[dst] += 1
-        self._push_frame(dst, payload, immediate)
+        self._push_frame(src, dst, body, flags)
 
     # ------------------------------------------------------------------
     # scheduled crashes: SIGKILL + respawn (CrashSpec entries)
@@ -1559,7 +1560,7 @@ class MpMachine(MachineLayer):
             except socket.timeout:
                 continue
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            hello = _recv_frame(conn)
+            hello = _recv_control(conn)
             if hello and hello[0] == "hello" and hello[1] == pe:
                 return conn
             # Not our worker (stray or mismatched connect): drop it.
@@ -1574,17 +1575,18 @@ class MpMachine(MachineLayer):
                 frame = _recv_frame(conn)
             except OSError:
                 frame = None
-            except pickle.UnpicklingError:
-                # A torn frame mid-pickle: the worker died mid-write.
-                # Treated exactly like EOF — classified below.
-                frame = None
             if frame is None:
-                break
+                break  # EOF, or a frame torn by a worker dying mid-write
+            if frame[0] == _DATA:
+                self._route(pe, frame[1], frame[3], frame[2])
+                continue
+            try:
+                frame = pickle.loads(frame[3])
+            except Exception:
+                frame = ("fatal", "undecodable control frame:\n"
+                         + traceback.format_exc())
             kind = frame[0]
-            if kind == "send":
-                _, dst, payload, immediate = frame
-                self._route(pe, dst, payload, immediate)
-            elif kind == "idle":
+            if kind == "idle":
                 with self._state:
                     self._idle[pe] = (frame[1], frame[2])
                     self._check_quiescent_locked()
@@ -1698,7 +1700,7 @@ class MpMachine(MachineLayer):
             for _ in range(self.num_pes):
                 conn, _addr = listener.accept()
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                hello = _recv_frame(conn)
+                hello = _recv_control(conn)
                 if not hello or hello[0] != "hello":
                     raise SimulationError(
                         "mp machine worker handshake failed (bad hello frame)"
@@ -1796,9 +1798,13 @@ class MpMachine(MachineLayer):
         finally:
             if watch_stop is not None:
                 watch_stop.set()
+        if why is None:
+            return "quiescent"
+        with self._state:
+            last = self._health.get(pe)
+        evidence = self._flight_summary()
+        self.shutdown()
         if why == "timeout":
-            evidence = self._flight_summary()
-            self.shutdown()
             raise SimulationError(
                 f"mp machine run timed out after {self._timeout:.0f}s "
                 "(deadlocked or hung worker?)" + evidence
@@ -1806,18 +1812,10 @@ class MpMachine(MachineLayer):
         if died:
             # Unscheduled process death (torn socket): structured
             # node-down evidence instead of an opaque traceback race.
-            with self._state:
-                last = self._health.get(pe)
-            evidence = self._flight_summary()
-            self.shutdown()
             raise WorkerDied(pe, last_health=last, evidence=evidence)
-        if why is not None:
-            evidence = self._flight_summary()
-            self.shutdown()
-            raise SimulationError(
-                f"mp machine worker on PE {pe} failed:\n{why}" + evidence
-            )
-        return "quiescent"
+        raise SimulationError(
+            f"mp machine worker on PE {pe} failed:\n{why}" + evidence
+        )
 
     # ------------------------------------------------------------------
     # live health
@@ -1954,13 +1952,15 @@ class MpMachine(MachineLayer):
             if proc.is_alive():  # pragma: no cover - last resort
                 proc.kill()
                 proc.join(timeout=1.0)
+        # Workers have exited: let each reader drain their final frames
+        # to EOF before the socket closes under it (which drops them).
+        for reader in self._readers:
+            reader.join(timeout=5.0)
         for conn in self._conns.values():
             try:
                 conn.close()
             except OSError:
                 pass
-        for reader in self._readers:
-            reader.join(timeout=5.0)
         if self._listener is not None:
             try:
                 self._listener.close()

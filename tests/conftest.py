@@ -16,10 +16,12 @@ def pytest_addoption(parser):
     parser.addoption(
         "--seeds",
         type=int,
-        default=25,
+        default=None,
         help="number of fault-plan seeds the schedule-fuzzing harness in "
-        "tests/faults sweeps (each seed is a fully deterministic run; a "
-        "failing seed value reproduces the failure exactly)",
+        "tests/faults sweeps (default 25, of which the mp legs run 3; an "
+        "explicit count applies to every machine layer). Each seed is a "
+        "fully deterministic run; a failing seed value reproduces the "
+        "failure exactly",
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.machine import Machine
-from tests.faults.conftest import MP_TIMEOUT, mp_sweep_guard
+from tests.faults.conftest import MP_TIMEOUT
 from tests.faults.harness import (
     crashy_plan,
     run_ft_all2all,
@@ -60,7 +60,6 @@ def _run_mp_ft(num_pes, fn, *args, faults):
 
 def test_ft_pingpong_survives_crash(fault_seed, sim_backend, machine_backend):
     if machine_backend == "mp":
-        mp_sweep_guard(machine_backend, fault_seed, sim_backend)
         plan = crashy_plan(fault_seed, crash_pe=1,
                            crash_at=_mp_crash_at(fault_seed),
                            restart_after=0.05)
@@ -82,7 +81,6 @@ def test_ft_pingpong_survives_crash(fault_seed, sim_backend, machine_backend):
 
 def test_ft_all2all_survives_crash(fault_seed, sim_backend, machine_backend):
     if machine_backend == "mp":
-        mp_sweep_guard(machine_backend, fault_seed, sim_backend)
         crash_pe = fault_seed % 4
         plan = crashy_plan(fault_seed, crash_pe=crash_pe,
                            crash_at=_mp_crash_at(fault_seed),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.machine import Machine
-from tests.faults.conftest import MP_TIMEOUT, mp_sweep_guard
+from tests.faults.conftest import MP_TIMEOUT
 from tests.faults.harness import (
     hostile_plan,
     run_broadcast,
@@ -42,7 +42,6 @@ def _run_mp(num_pes, fn, *args, **kwargs):
 
 def test_pingpong_exactly_once(fault_seed, sim_backend, machine_backend):
     if machine_backend == "mp":
-        mp_sweep_guard(machine_backend, fault_seed, sim_backend)
         reason, res = _run_mp(2, workers_mp.w_fuzz_pingpong, 8,
                               faults=hostile_plan(fault_seed))
         assert reason == "quiescent"
@@ -61,7 +60,6 @@ def test_pingpong_exactly_once(fault_seed, sim_backend, machine_backend):
 def test_broadcast_exactly_once_in_order(fault_seed, sim_backend,
                                          machine_backend):
     if machine_backend == "mp":
-        mp_sweep_guard(machine_backend, fault_seed, sim_backend)
         reason, res = _run_mp(4, workers_mp.w_fuzz_broadcast, 6,
                               faults=hostile_plan(fault_seed))
         assert reason == "quiescent"
@@ -78,7 +76,6 @@ def test_broadcast_exactly_once_in_order(fault_seed, sim_backend,
 def test_quiescence_correct_under_faults(fault_seed, sim_backend,
                                          machine_backend):
     if machine_backend == "mp":
-        mp_sweep_guard(machine_backend, fault_seed, sim_backend)
         # Machine-wide conservation: the relay tally across all real
         # processes must equal the exactly-once total — a drop leaves it
         # short, a duplicate overshoots.

@@ -244,6 +244,19 @@ def test_mp_fault_free_forward_has_no_fault_hooks():
     assert "decide" in faulty and "_delayed" in faulty
 
 
+def test_mp_hub_forwarding_never_touches_pickle():
+    """Data frames cross the hub as opaque bodies: no routing step may
+    decode or re-encode a payload."""
+    from repro.machine.mp import MpMachine
+
+    for fn in (MpMachine._forward, MpMachine._forward_faulty,
+               MpMachine._deliver_delayed, MpMachine._push_frame):
+        src = inspect.getsource(fn)
+        assert "pickle" not in src, (
+            f"{fn.__qualname__} references pickle:\n{src}"
+        )
+
+
 def test_mp_route_binding_picks_variant_at_construction():
     import pytest
 
